@@ -131,21 +131,18 @@ def _canonical(value):
     or verdicts, so the sweep CLI bypasses the result cache when an export or
     an isolation check is requested.)
 
-    An :class:`~repro.sim.shard.ExecutionConfig` is omitted unless it selects
-    *conservative* epoch execution: sharding independent channels across
-    worker processes is bit-identical to the shared-clock run (the contract
-    the golden bit-identity suite pins), so the execution strategy is not
-    part of a cell's identity — but the conservative engine has distinct
-    epoch semantics and therefore its own hash.
+    An :class:`~repro.sim.shard.ExecutionConfig` is omitted unconditionally
+    too: sharding independent channels across worker processes is
+    bit-identical to the shared-clock run (the contract the golden
+    bit-identity suite pins), so the execution strategy is not part of a
+    cell's identity.
     """
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             field.name: _canonical(getattr(value, field.name))
             for field in dataclasses.fields(value)
-            if not isinstance(getattr(value, field.name), (ObservabilityConfig, CheckerConfig))
-            and not (
-                isinstance(getattr(value, field.name), ExecutionConfig)
-                and not getattr(value, field.name).conservative
+            if not isinstance(
+                getattr(value, field.name), (ObservabilityConfig, CheckerConfig, ExecutionConfig)
             )
             and not (
                 isinstance(getattr(value, field.name), (RetryConfig, FaultConfig))

@@ -3,8 +3,8 @@
 A :class:`Channel` is a complete Fabric slice — its own ledger, shared-base
 state store (one frozen genesis base with per-peer copy-on-write overlays),
 ordering service (and therefore block cutter), peers and endorsement policy —
-embedded as a :class:`~repro.network.network.FabricNetwork` that shares the
-deployment-wide :class:`~repro.sim.engine.Simulator` clock with its sibling
+embedded as a :class:`~repro.network.network.FabricNetwork` that shares its
+deployment cell's :class:`~repro.sim.engine.Simulator` clock with its sibling
 channels.  Sharing the clock is what keeps a multi-channel run deterministic:
 events of independent channels interleave in one global virtual-time order.
 

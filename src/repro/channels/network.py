@@ -1,21 +1,24 @@
-"""A multi-channel Fabric deployment on one shared simulation clock.
+"""The multi-channel deployment cell.
 
 :class:`MultiChannelNetwork` is the multi-channel counterpart of
 :class:`~repro.network.network.FabricNetwork`: it builds one complete Fabric
 slice per channel (ledger, state store, ordering service, peers), partitions
 the key space across the channels with a
-:class:`~repro.channels.topology.ChannelTopology`, routes the configured
+:class:`~repro.channels.topology.ChannelTopology`, and routes the configured
 fraction of transactions through the
-:class:`~repro.channels.coordinator.CrossChannelCoordinator`, and returns an
-aggregate :class:`~repro.network.network.RunRecord` carrying one
-:class:`~repro.network.network.ChannelRecord` per channel.
+:class:`~repro.channels.coordinator.CrossChannelCoordinator`.
 
-All channels share a single :class:`~repro.sim.engine.Simulator`, so
-independent channels simulate concurrently (their events interleave in global
-virtual-time order) while the whole run stays deterministic and reproducible
-through the :mod:`repro.bench.runner` machinery.  Every channel draws from its
-own spawned :class:`~repro.sim.rng.RandomStreams` family, so adding a channel
-never perturbs the random draws of another.
+It is the one deployment cell of every multi-channel run: it builds, starts,
+drains and collects a given set of channels on its own
+:class:`~repro.sim.engine.Simulator` (:meth:`MultiChannelNetwork.simulate`),
+and :func:`~repro.channels.aggregate.aggregate_record` turns the cells'
+results into the aggregate :class:`~repro.network.network.RunRecord`.  A
+shared-clock run is one cell holding every channel, whose events interleave
+in one global virtual-time order; the sharded path
+(:mod:`repro.channels.sharded`) runs one cell per shard in worker processes.
+Every channel draws from its own spawned
+:class:`~repro.sim.rng.RandomStreams` family, so adding a channel never
+perturbs the random draws of another.
 
 Modeling notes:
 
@@ -36,30 +39,33 @@ Modeling notes:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from contextlib import nullcontext
+from typing import Callable, List, Optional, Sequence
 
+from repro.channels.aggregate import CellResult, aggregate_record
 from repro.channels.channel import Channel, ChannelGateway
 from repro.channels.coordinator import CrossChannelCoordinator
 from repro.channels.topology import ChannelRouter, ChannelTopology, ShardedKeyDistribution
 from repro.chaincode.base import Chaincode
-from repro.checker.checker import merge_isolation_reports
 from repro.errors import ConfigurationError
-from repro.ledger.block import Transaction
-from repro.ledger.ledger import Ledger
 from repro.lifecycle.events import LifecycleBus
 from repro.lifecycle.retry import ResubmissionGovernor
 from repro.network.config import NetworkConfig
 from repro.network.network import FabricNetwork, RunRecord
 from repro.observability.observer import ObservabilityData, RunObserver
 from repro.sim.engine import Simulator
+from repro.sim.profile import EngineProfiler
 from repro.sim.rng import RandomStreams
-from repro.sim.stats import mean
 from repro.workload.distributions import KeyDistribution
 from repro.workload.spec import CrossChannelMix, TransactionMix
 
 
 class MultiChannelNetwork:
-    """N Fabric channels sharded over the key space, on one simulator clock."""
+    """Fabric channels sharded over the key space, on one simulator clock.
+
+    ``channel_indices`` (default: every channel) is the part of the
+    deployment this cell holds — one shard of :func:`repro.sim.shard.plan_shards`.
+    """
 
     def __init__(
         self,
@@ -69,6 +75,7 @@ class MultiChannelNetwork:
         seed: int = 7,
         hot_share: float = 0.5,
         partner_strategy: str = "uniform",
+        channel_indices: Optional[Sequence[int]] = None,
     ) -> None:
         config = config.copy()
         config.validate()
@@ -81,21 +88,19 @@ class MultiChannelNetwork:
         self.seed = seed
         self.sim = Simulator()
         self.streams = RandomStreams(seed)
-        #: Deployment-wide lifecycle event stream: every channel's own bus is
-        #: piped into this one, so cross-channel consumers (and the aggregate
-        #: record) observe a single stream.
+        #: Cell-wide lifecycle event stream: every channel's own bus is piped
+        #: into this one, so cross-channel consumers observe a single stream.
         self.bus = LifecycleBus()
         self.topology = ChannelTopology(
             channels=config.channels, placement=config.placement, hot_share=hot_share
         )
-        self.router = ChannelRouter(self.topology)
-        self.cross_channel = CrossChannelMix(
+        cross_channel = CrossChannelMix(
             rate=config.cross_channel_rate, partner_strategy=partner_strategy
         )
 
         shares = self.topology.arrival_shares()
         self.channels: List[Channel] = []
-        for index in range(config.channels):
+        for index in range(config.channels) if channel_indices is None else channel_indices:
             network = FabricNetwork(
                 config=config.copy(),
                 chaincode=chaincode_factory(),
@@ -109,16 +114,31 @@ class MultiChannelNetwork:
             self.channels.append(
                 Channel(index=index, network=network, arrival_share=shares[index])
             )
-        self.coordinator = CrossChannelCoordinator(
-            sim=self.sim, channels=self.channels, rng=self.streams.stream("coordinator")
+        self.coordinator = (
+            CrossChannelCoordinator(
+                sim=self.sim, channels=self.channels, rng=self.streams.stream("coordinator")
+            )
+            if cross_channel.enabled
+            else None
         )
-        #: One governor for the whole deployment: the resubmission rate cap is
+        router = ChannelRouter(self.topology)
+        self.gateways = [
+            ChannelGateway(
+                channel=channel,
+                router=router,
+                cross_channel=cross_channel,
+                rng=channel.network.streams.stream("cross-channel"),
+                coordinator=self.coordinator,
+            )
+            for channel in self.channels
+        ]
+        #: One governor for the whole cell: the resubmission rate cap is
         #: global, not per channel slice.
         self.retry_governor = (
             ResubmissionGovernor(config.retry.rate_cap) if config.retry.enabled else None
         )
-        #: One observer for the whole deployment, on the piped deployment bus —
-        #: the per-channel slices share the clock, so they skip their own (see
+        #: One observer for the whole cell, on the piped cell bus — the
+        #: per-channel slices share the clock, so they skip their own (see
         #: :class:`~repro.network.network.FabricNetwork`).
         self.observer: Optional[RunObserver] = None
         if config.observability.enabled:
@@ -141,22 +161,33 @@ class MultiChannelNetwork:
         workload_name: str = "custom",
     ) -> RunRecord:
         """Run one experiment across all channels and return the aggregate record."""
+        cell = self.simulate(mix, arrival_rate, duration, key_distribution, workload_name)
+        return aggregate_record([cell], arrival_rate, duration, workload_name, cell.observability)
+
+    def simulate(
+        self,
+        mix: TransactionMix,
+        arrival_rate: float,
+        duration: float,
+        key_distribution: Optional[KeyDistribution] = None,
+        workload_name: str = "custom",
+        profile_engine: bool = False,
+    ) -> CellResult:
+        """Start every channel's clients, drain the clock, collect the cell.
+
+        ``profile_engine`` attaches an :class:`EngineProfiler` whatever the
+        observability config says (the sharded path always reports one).
+        """
         if arrival_rate <= 0:
             raise ConfigurationError(f"the arrival rate must be positive, got {arrival_rate}")
         if duration <= 0:
             raise ConfigurationError(f"the duration must be positive, got {duration}")
-        if self.observer is not None:
-            self.observer.on_run_start(duration)
-        for channel in self.channels:
+        observer = self.observer
+        if observer is not None:
+            observer.on_run_start(duration)
+        for channel, gateway in zip(self.channels, self.gateways):
             shard = ShardedKeyDistribution(
                 topology=self.topology, channel=channel.index, base=key_distribution
-            )
-            gateway = ChannelGateway(
-                channel=channel,
-                router=self.router,
-                cross_channel=self.cross_channel,
-                rng=channel.network.streams.stream("cross-channel"),
-                coordinator=self.coordinator if self.cross_channel.enabled else None,
             )
             channel.start(
                 mix=mix,
@@ -167,90 +198,29 @@ class MultiChannelNetwork:
                 gateway=gateway,
                 retry_governor=self.retry_governor,
             )
-        if self.observer is not None:
-            with self.observer.profile():
-                self.sim.run_until_empty()
-        else:
+        profiler = EngineProfiler(self.sim) if profile_engine else None
+        if profiler is not None and observer is not None:
+            observer.adopt_profiler(profiler)
+        # An attached profiler makes the observer's own profile() a no-op.
+        engine = profiler if profiler is not None else nullcontext()
+        observed = observer.profile() if observer is not None else nullcontext()
+        with engine, observed:
             self.sim.run_until_empty()
-        return self._aggregate_record(arrival_rate, duration, workload_name)
-
-    # -------------------------------------------------------------- recording
-    def _aggregate_record(
-        self, arrival_rate: float, duration: float, workload_name: str
-    ) -> RunRecord:
-        channel_records = [
+        records = [
             channel.collect(duration=duration, workload_name=workload_name)
             for channel in self.channels
         ]
-        transactions: List[Transaction] = []
-        early_aborted: List[Transaction] = []
-        read_only_skipped: List[Transaction] = []
-        for record in channel_records:
-            transactions.extend(record.record.transactions)
-            early_aborted.extend(record.record.early_aborted)
-            read_only_skipped.extend(record.record.read_only_skipped)
-        transactions.sort(key=lambda tx: (tx.submitted_at, tx.tx_id))
         observability: Optional[ObservabilityData] = None
-        if self.observer is not None:
+        if observer is not None:
             block_times = {
-                record.index: {
-                    block.number: block.created_at for block in record.record.ledger.blocks
-                }
-                for record in channel_records
+                record.index: {block.number: block.created_at for block in record.ledger.blocks}
+                for record in records
             }
-            observability = self.observer.collect(block_times, final_time=self.sim.now)
-        reference = self.channels[0].network
-        return RunRecord(
-            # The reference channel's config went through variant.configure()
-            # (e.g. Streamchain forces block_size=1), so the aggregate reports
-            # the *effective* parameters, same as a single-channel run.
-            config=reference.config,
-            variant_name=reference.variant.name,
-            chaincode_name=reference.chaincode.name,
-            workload_name=workload_name,
-            arrival_rate=arrival_rate,
-            duration=duration,
-            seed=self.seed,
-            ledger=Ledger(),  # per-channel chains live in channel_records
-            transactions=transactions,
-            early_aborted=early_aborted,
-            read_only_skipped=read_only_skipped,
-            simulated_end=self.sim.now,
-            blocks_cut=sum(record.record.blocks_cut for record in channel_records),
-            orderer_utilization=mean(
-                record.record.orderer_utilization for record in channel_records
-            ),
-            mean_validation_utilization=mean(
-                record.record.mean_validation_utilization for record in channel_records
-            ),
-            mean_endorsement_utilization=mean(
-                record.record.mean_endorsement_utilization for record in channel_records
-            ),
-            channel_records=channel_records,
-            lifecycle_counts=self.bus.counts_by_name(),
-            retry_policy=self.config.retry.policy,
-            resubmissions=sum(record.record.resubmissions for record in channel_records),
-            retries_exhausted=sum(
-                record.record.retries_exhausted for record in channel_records
-            ),
-            retry_budget_denied=sum(
-                record.record.retry_budget_denied for record in channel_records
-            ),
-            retry_rate_denied=sum(
-                record.record.retry_rate_denied for record in channel_records
-            ),
-            fault_injections=self._merge_fault_stats(channel_records),
+            observability = observer.collect(block_times, final_time=self.sim.now)
+        return CellResult(
+            records=records,
+            loads={channel.index: channel.network.station_loads() for channel in self.channels},
+            end=self.sim.now,
+            engine=profiler.report() if profiler is not None else {},
             observability=observability,
-            isolation=merge_isolation_reports(
-                record.record.isolation for record in channel_records
-            ),
         )
-
-    @staticmethod
-    def _merge_fault_stats(channel_records) -> dict:
-        """Sum every channel slice's fault-injection counters."""
-        merged: dict = {}
-        for record in channel_records:
-            for key, count in record.record.fault_injections.items():
-                merged[key] = merged.get(key, 0) + count
-        return dict(sorted(merged.items()))

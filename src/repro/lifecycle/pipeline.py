@@ -11,10 +11,10 @@ the configuration enables it) the retry subsystem, and both expose the same
 never need to know which shape they received.
 
 Multi-channel configurations whose :class:`~repro.sim.shard.ExecutionConfig`
-opts into sharding (``shard_workers != 1`` or ``conservative=True``) build a
+opts into sharding (``shard_workers != 1``) build a
 :class:`~repro.channels.sharded.ShardedChannelNetwork` instead — same ``run``
-surface, bit-identical results for partitionable topologies, worker processes
-underneath.
+surface, the same deployment cell run once per shard in worker processes, and
+bit-identical results for partitionable topologies.
 """
 
 from __future__ import annotations

@@ -8,9 +8,10 @@ for the post-experiment analysis of :mod:`repro.core`.
 
 A network normally owns its own :class:`~repro.sim.engine.Simulator` and
 :class:`~repro.sim.rng.RandomStreams`; both can also be injected, which is the
-multi-channel build path — :class:`repro.channels.network.MultiChannelNetwork`
-instantiates one :class:`FabricNetwork` per channel on a *shared* simulator
-clock, so the channels simulate concurrently yet deterministically.  For that
+multi-channel build path — a :class:`repro.channels.network.MultiChannelNetwork`
+cell instantiates one :class:`FabricNetwork` per channel on the cell's
+*shared* simulator clock, so the channels simulate concurrently yet
+deterministically.  For that
 embedding the run loop is split into :meth:`FabricNetwork.start_clients`
 (schedule the client arrivals) and :meth:`FabricNetwork.collect_record`
 (harvest the results once the shared simulation has drained);
@@ -108,11 +109,10 @@ class RunRecord:
     #: unless ``config.observability`` is enabled; see :mod:`repro.observability`).
     observability: Optional[ObservabilityData] = None
     #: How the run executed: ``"shared-clock"`` (one simulator — the default
-    #: and the reference semantics), ``"sharded"`` (independent channels in
-    #: worker processes, bit-identical to shared-clock by contract) or
-    #: ``"sharded-conservative"`` (epoch-synchronized shards — deterministic
-    #: but *distinct* semantics).  Execution metadata: excluded, along with
-    #: ``shard_count``, from bit-identity comparisons.
+    #: and the reference semantics) or ``"sharded"`` (independent channels
+    #: in worker processes, bit-identical to shared-clock by contract).
+    #: Execution metadata: excluded, along with ``shard_count``, from
+    #: bit-identity comparisons.
     execution: str = "shared-clock"
     #: Per-channel isolation verdicts of the run (``None`` unless
     #: ``config.checker`` is enabled; see :mod:`repro.checker`).
@@ -254,8 +254,8 @@ class FabricNetwork:
         self.clients: List[ClientNode] = []
         self.retry_controller: Optional[RetryController] = None
         #: Run observer (``None`` unless observability is enabled *and* this
-        #: network owns its clock; multi-channel deployments observe at the
-        #: deployment level instead — see
+        #: network owns its clock; a channel slice is observed by the one
+        #: observer of its deployment cell — see
         #: :class:`repro.channels.network.MultiChannelNetwork`).
         self.observer: Optional[RunObserver] = None
         if sim is None and self.config.observability.enabled:
@@ -267,7 +267,7 @@ class FabricNetwork:
         #: ``config.checker`` is enabled).  Installed per slice — on the
         #: slice's *own* bus, not the piped deployment bus — so each channel
         #: is checked against its own chain and the verdicts are identical
-        #: across shared-clock, sharded and conservative execution.
+        #: across shared-clock and sharded execution.
         self.isolation_checker: Optional[IsolationChecker] = (
             IsolationChecker(self.bus, self.config.checker, channel=channel_index)
             if self.config.checker.enabled

@@ -1,8 +1,8 @@
 """The per-run observer: span tracer + metrics registry + sampler + markers.
 
-One :class:`RunObserver` serves one deployment (a single-channel
+One :class:`RunObserver` serves one simulator clock (a single-channel
 :class:`~repro.network.network.FabricNetwork` or a whole
-:class:`~repro.channels.network.MultiChannelNetwork`).  It is only constructed
+:class:`~repro.channels.network.MultiChannelNetwork` deployment cell).  It is only constructed
 when :class:`~repro.observability.config.ObservabilityConfig` is enabled;
 without it no bus listener, sampler event or profiler exists and the run is
 bit-identical to a build without this package.

@@ -23,6 +23,13 @@ from repro.sim.engine import Simulator
 from repro.sim.stats import OnlineStats
 
 
+def utilization(busy_time: float, servers: int, horizon: float) -> float:
+    """Fraction of ``servers`` busy for ``busy_time`` over ``horizon`` seconds."""
+    if horizon <= 0:
+        return 0.0
+    return min(1.0, busy_time / (horizon * servers))
+
+
 class ServiceStation:
     """A FIFO queue with ``servers`` identical servers on a :class:`Simulator`.
 
@@ -87,9 +94,7 @@ class ServiceStation:
 
     def utilization(self, horizon: float) -> float:
         """Fraction of the station's total capacity used over ``horizon`` seconds."""
-        if horizon <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / (horizon * self.servers))
+        return utilization(self.busy_time, self.servers, horizon)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

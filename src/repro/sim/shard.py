@@ -15,9 +15,8 @@ run apart and *how many* worker processes they may occupy:
 * :class:`ExecutionConfig` is the knob on
   :class:`~repro.network.config.NetworkConfig` selecting the execution
   strategy: ``shard_workers=1`` (default) keeps the classic shared-clock
-  path, ``0`` sizes the worker pool automatically, ``N >= 2`` caps it, and
-  ``conservative=True`` opts a fully-coupled topology into the
-  epoch-synchronized engine (see :mod:`repro.channels.sharded`).
+  path, ``0`` sizes the worker pool automatically and ``N >= 2`` caps it
+  (see :mod:`repro.channels.sharded`).
 * :func:`resolve_worker_count` / :func:`process_budget` implement the shared
   process budget: the experiment runner exports
   :data:`PROCESS_BUDGET_ENV` before fanning cells out, so runner workers ×
@@ -25,10 +24,8 @@ run apart and *how many* worker processes they may occupy:
 
 The execution strategy never changes *what* a run computes — sharded
 execution with ``cross_channel_rate == 0`` is bit-identical to the
-shared-clock path — so a plain :class:`ExecutionConfig` is excluded from the
-experiment cell hash.  The one exception is ``conservative=True``, which has
-its own (deterministic, but distinct) epoch semantics and therefore its own
-cell identity.
+shared-clock path — so an :class:`ExecutionConfig` is excluded from the
+experiment cell hash.
 """
 
 from __future__ import annotations
@@ -53,14 +50,10 @@ class ExecutionConfig:
     ``shard_workers`` selects the path: ``1`` (the default) is the classic
     shared-clock simulation, ``0`` shards independent channels across an
     automatically sized worker pool, and ``N >= 2`` shards with at most ``N``
-    workers.  ``conservative=True`` additionally opts coupled topologies
-    (``cross_channel_rate > 0``) into barrier-synchronized epoch execution —
-    a *distinct* simulation semantics, golden-pinned separately, never
-    claimed identical to the shared clock.
+    workers.
     """
 
     shard_workers: int = 1
-    conservative: bool = False
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` for invalid worker counts."""
@@ -75,8 +68,8 @@ class ExecutionConfig:
 
     @property
     def sharded(self) -> bool:
-        """True when this config selects any non-shared-clock path."""
-        return self.conservative or self.shard_workers != 1
+        """True when this config selects the sharded path."""
+        return self.shard_workers != 1
 
 
 @dataclass(frozen=True)
@@ -230,10 +223,10 @@ def planned_shard_processes(
     """Worker processes one run of this shape will occupy (runner budgeting).
 
     Returns 1 for every configuration that executes in-process: shared-clock
-    runs, single-channel runs, fully-coupled topologies (which fall back or
-    run the in-process conservative engine) and single-shard plans.
+    runs, single-channel runs and single-shard plans (coupled topologies,
+    which fall back to the shared clock).
     """
-    if channels <= 1 or not execution.sharded or execution.conservative:
+    if channels <= 1 or not execution.sharded:
         return 1
     plan = plan_shards(channels, cross_channel_rate, partner_strategy)
     if not plan.is_partitioned:

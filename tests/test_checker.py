@@ -182,6 +182,9 @@ def test_multi_channel_report_carries_one_verdict_per_channel():
     report = run_repetition(checked(config), 0).record.isolation
     assert sorted(channel.channel for channel in report.channels) == [0, 1, 2, 3]
     assert all(channel.committed > 0 for channel in report.channels)
+    # The coupled shared-clock cell certifies, and identically on a repeat run.
+    assert report.verdict == VERDICT_SERIALIZABLE
+    assert run_repetition(checked(config), 0).record.isolation.summary() == report.summary()
 
 
 def test_fabricsharp_history_certifies_si_on_its_own_evidence():

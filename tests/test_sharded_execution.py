@@ -12,7 +12,9 @@ cannot shard.
 
 from __future__ import annotations
 
+import io
 import json
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -21,15 +23,19 @@ import pytest
 
 from repro.bench.harness import ExperimentConfig, run_repetition
 from repro.bench.runner import ExperimentRunner
-from repro.channels.sharded import ShardedChannelNetwork, record_fingerprint
+from repro.channels.sharded import ShardedChannelNetwork, _run_shard, record_fingerprint
 from repro.checker.config import CheckerConfig
 from repro.errors import ConfigurationError
 from repro.ledger.block import reset_transaction_ids
+from repro.lifecycle.events import LifecycleBus
 from repro.lifecycle.retry import RetryConfig
 from repro.lifecycle.pipeline import build_network
 from repro.network.config import NetworkConfig
+from repro.network.network import FabricNetwork
 from repro.observability.config import ObservabilityConfig
 from repro.observability.export import write_chrome_trace
+from repro.observability.observer import RunObserver
+from repro.sim.engine import Simulator
 from repro.sim.shard import ExecutionConfig
 from repro.workload.distributions import make_distribution
 from repro.workload.workloads import uniform_workload
@@ -222,6 +228,45 @@ def test_unpicklable_factories_degrade_to_in_process_execution():
     assert record_fingerprint(record) == record_fingerprint(shared)
 
 
+# ---------------------------------------------------------------- worker IPC
+def test_shard_worker_result_leaves_the_cell_behind():
+    # A shard worker builds and drains a whole deployment cell, but only its
+    # records, loads and reports may cross the process boundary: pickling the
+    # simulator, a channel slice, a bus or an observer would ship the entire
+    # object graph of the run back to the parent.
+    config = experiment(
+        ExecutionConfig(shard_workers=0), observability=OBSERVED, checker=CHECKED
+    )
+    reset_transaction_ids()
+    network = build_network(
+        config=config.network,
+        chaincode_factory=config.build_chaincode,
+        variant_factory=config.variant,
+        seed=config.seed,
+    )
+    run = dict(
+        mix=config.workload.mix,
+        arrival_rate=config.arrival_rate,
+        duration=config.duration,
+        key_distribution=make_distribution(config.zipf_skew),
+        workload_name=config.workload.name,
+    )
+    result = _run_shard((network._cell(network.plan.shards[0]), run))
+    assert result.records and result.observability is not None
+
+    seen = set()
+
+    class RecordingPickler(pickle.Pickler):
+        def reducer_override(self, obj):
+            seen.add(obj if isinstance(obj, type) else type(obj))
+            return NotImplemented
+
+    RecordingPickler(io.BytesIO()).dump(result)
+    forbidden = (Simulator, FabricNetwork, LifecycleBus, RunObserver)
+    leaked = sorted(cls.__name__ for cls in seen if issubclass(cls, forbidden))
+    assert not leaked, f"shard result pickles live simulation objects: {leaked}"
+
+
 # ------------------------------------------------------------ observability
 OBSERVED = ObservabilityConfig(trace=True, metrics=True, sample_interval=0.25)
 
@@ -269,22 +314,17 @@ CHECKED = CheckerConfig(enabled=True)
 def test_checker_verdicts_identical_across_execution_strategies():
     # The checker subscribes to each channel slice's own bus, so the verdict
     # and every retained witness must be bit-identical no matter how the
-    # channels were scheduled: shared clock, in-process shards, a real worker
-    # pool (the report crosses a process boundary), or conservative epochs
-    # (which degenerate to independent clocks on an uncoupled topology).
+    # channels were scheduled: shared clock, in-process shards, or a real
+    # worker pool (the report crosses a process boundary).
     _, shared = run_cell(experiment(ExecutionConfig(), checker=CHECKED))
     _, sharded = run_cell(experiment(ExecutionConfig(shard_workers=0), checker=CHECKED))
     _, pooled = run_cell(experiment(ExecutionConfig(shard_workers=4), checker=CHECKED))
-    _, conservative = run_cell(
-        experiment(ExecutionConfig(conservative=True), checker=CHECKED)
-    )
     assert shared.isolation is not None
     summary = shared.isolation.summary()
     assert summary["verdict"] == "CERTIFIED-SERIALIZABLE"
     assert summary["committed"] > 0
     assert sharded.isolation.summary() == summary
     assert pooled.isolation.summary() == summary
-    assert conservative.isolation.summary() == summary
     # record_fingerprint covers the isolation digest, so the existing
     # bit-identity contract now extends to checker output as well.
     assert record_fingerprint(sharded) == record_fingerprint(shared)
@@ -296,25 +336,6 @@ def test_fingerprint_covers_the_isolation_digest():
     baseline = record_fingerprint(record)
     record.isolation = None
     assert record_fingerprint(record) != baseline
-
-
-def test_checker_certifies_the_coupled_conservative_cell():
-    # Conservative epochs on a coupled topology are a distinct simulation
-    # semantics, but the committed history they produce must still certify —
-    # and deterministically so.
-    _, first = run_cell(
-        experiment(
-            ExecutionConfig(conservative=True), cross_channel_rate=0.1, checker=CHECKED
-        )
-    )
-    _, second = run_cell(
-        experiment(
-            ExecutionConfig(conservative=True), cross_channel_rate=0.1, checker=CHECKED
-        )
-    )
-    assert first.execution == "sharded-conservative"
-    assert first.isolation.verdict == "CERTIFIED-SERIALIZABLE"
-    assert first.isolation.summary() == second.isolation.summary()
 
 
 def test_sharded_trace_export_passes_the_schema_check(tmp_path):

@@ -324,42 +324,3 @@ def test_attaching_two_profilers_is_rejected(sim):
         with pytest.raises(SimulationError):
             sim.attach_profiler(EngineProfiler(sim))
     sim.detach_profiler()  # no-op when nothing is attached
-
-
-# ------------------------------------------------------------ next_event_time
-def test_next_event_time_of_an_empty_simulator_is_infinite(sim):
-    assert sim.next_event_time == float("inf")
-
-
-def test_next_event_time_reports_the_earliest_entry(sim):
-    sim.schedule(2.0, lambda: None)
-    sim.schedule(0.5, lambda: None)
-    assert sim.next_event_time == 0.5
-    sim.run()
-    assert sim.next_event_time == float("inf")
-
-
-def test_next_event_time_is_a_lower_bound_under_cancellation(sim):
-    first = sim.schedule(0.5, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    first.cancel()
-    # The cancelled husk may still be reported — a lower bound is allowed to
-    # be early, never late.
-    assert sim.next_event_time <= 2.0
-
-
-def test_next_event_time_is_infinite_when_only_cancelled_entries_remain(sim):
-    # Regression: the conservative epoch loop polls next_event_time to decide
-    # whether any work remains.  A simulator holding nothing but cancelled
-    # husks must report empty, or the loop would spin forever chasing events
-    # that will never run.
-    for delay in (0.5, 1.0, 1.5):
-        sim.schedule(delay, lambda: None).cancel()
-    assert sim.pending_events == 0
-    assert sim.next_event_time == float("inf")
-
-
-def test_next_event_time_sees_overflow_entries(sim):
-    # Far-future events land in the overflow heap rather than the wheel.
-    sim.schedule(1e6, lambda: None)
-    assert sim.next_event_time == 1e6

@@ -95,10 +95,6 @@ def test_non_default_worker_counts_select_the_sharded_path(workers):
     assert ExecutionConfig(shard_workers=workers).sharded
 
 
-def test_conservative_selects_the_sharded_path_even_at_one_worker():
-    assert ExecutionConfig(shard_workers=1, conservative=True).sharded
-
-
 @pytest.mark.parametrize("bad", [-1, -7, 1.5, "four", True])
 def test_invalid_worker_counts_are_rejected(bad):
     with pytest.raises(ConfigurationError):
@@ -108,12 +104,6 @@ def test_invalid_worker_counts_are_rejected(bad):
 def test_network_config_validates_execution():
     with pytest.raises(ConfigurationError):
         NetworkConfig(channels=2, cross_channel_rate=0.0, execution=ExecutionConfig(-2)).validate()
-
-
-def test_conservative_requires_multiple_channels():
-    config = NetworkConfig(channels=1, execution=ExecutionConfig(conservative=True))
-    with pytest.raises(ConfigurationError):
-        config.validate()
 
 
 def test_describe_names_the_execution_mode():
@@ -164,7 +154,7 @@ def test_worker_count_never_drops_below_one(monkeypatch):
         (1, 0.0, ExecutionConfig(shard_workers=0), 1),  # single channel
         (4, 0.0, ExecutionConfig(), 1),  # shared clock
         (4, 0.1, ExecutionConfig(shard_workers=0), 1),  # coupled -> fallback
-        (4, 0.1, ExecutionConfig(conservative=True), 1),  # in-process epochs
+        (4, 0.1, ExecutionConfig(shard_workers=2), 1),  # coupled -> fallback
         (4, 0.0, ExecutionConfig(shard_workers=2), 2),
     ],
 )
@@ -202,11 +192,3 @@ def test_execution_strategy_is_excluded_from_the_cell_hash():
     baseline = _experiment(ExecutionConfig()).cell_hash()
     assert _experiment(ExecutionConfig(shard_workers=0)).cell_hash() == baseline
     assert _experiment(ExecutionConfig(shard_workers=8)).cell_hash() == baseline
-
-
-def test_conservative_execution_has_its_own_cell_identity():
-    # Epoch-synchronized execution is a distinct simulation semantics and
-    # must never share cached results with the shared-clock cell.
-    baseline = _experiment(ExecutionConfig()).cell_hash()
-    conservative = _experiment(ExecutionConfig(conservative=True)).cell_hash()
-    assert conservative != baseline
