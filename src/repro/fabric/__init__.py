@@ -6,6 +6,14 @@ streaming, István et al.) and FabricSharp (cross-block serializability with
 early aborts, Ruan et al.).  Each build is modelled as a
 :class:`~repro.fabric.variant.FabricVariantBehavior` that plugs into the
 simulated network at the ordering, validation and endorsement hooks.
+
+Fabric++ and FabricSharp share the conflict-graph kernel of
+:mod:`repro.fabric.conflictgraph` (standard library only):
+``build_dependency_graph`` returns the graph as a list of successor sets
+indexed by batch position, ``remove_cycles`` aborts the most-connected member
+of each cyclic strongly connected component until none is left (marking the
+removed positions ``None``), and ``serialization_order`` lists the survivors
+in the lexicographically smallest topological order.
 """
 
 from repro.fabric.base import Fabric14
